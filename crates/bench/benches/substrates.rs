@@ -14,7 +14,7 @@ use ss_types::{SimDate, TermId};
 use ss_web::http::UserAgent;
 use ss_web::js::render::render;
 use ss_web::js::{JsCache, JsEngine};
-use ss_web::pagegen::storefront::{home_page, StoreCtx, StoreTemplate};
+use ss_web::pagegen::storefront::{home_page, product_page, StoreCtx, StoreTemplate};
 use ss_web::pagegen::{doorway, obfuscate};
 use ss_web::Document;
 
@@ -150,6 +150,41 @@ fn bench_ml(c: &mut Criterion) {
         ..TrainConfig::default()
     };
     c.bench_function("ml/train_8class_48docs", |b| {
+        b.iter(|| MulticlassModel::train(&xs, &ys, names.clone(), dict.len(), &cfg))
+    });
+
+    // The paper's shape: 52 campaigns, ~270 labeled pages, and a dictionary
+    // grown over the whole ~2k-page corpus, so the training support is a
+    // small share of it. (Above, every dictionary id is in the support.)
+    let mut dict = Dictionary::new();
+    let mut xs = Vec::new();
+    let mut ys = Vec::new();
+    for class in 0..52usize {
+        let t = StoreTemplate::for_campaign(&format!("C{class}"), 42);
+        for store in 0..40u64 {
+            let ctx = StoreCtx {
+                domain: "x.com",
+                store_name: "x",
+                template: &t,
+                brands: &["Chanel"],
+                locale: "us",
+                merchant_id: "m",
+                seed: store * 53 + class as u64,
+            };
+            let html = if store % 2 == 0 {
+                home_page(&ctx)
+            } else {
+                product_page(&ctx, store as u32)
+            };
+            let x = extract_features(&html, &mut dict, true);
+            if store < 5 || (store == 5 && class % 5 == 0) {
+                xs.push(x);
+                ys.push(class);
+            }
+        }
+    }
+    let names: Vec<String> = (0..52).map(|c| format!("C{c}")).collect();
+    c.bench_function("ml/train_52class_sparse", |b| {
         b.iter(|| MulticlassModel::train(&xs, &ys, names.clone(), dict.len(), &cfg))
     });
 }

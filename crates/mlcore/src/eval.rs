@@ -2,6 +2,8 @@
 //! confusion counting (§4.2.2 reports 86.8% 10-fold CV accuracy over 52
 //! campaigns against a 1.9% chance baseline).
 
+use std::borrow::Borrow;
+
 use rand::seq::SliceRandom;
 use ss_types::rng::sub_rng;
 
@@ -42,8 +44,8 @@ pub struct CvResult {
 }
 
 /// Runs stratified k-fold cross-validation of the one-vs-rest model.
-pub fn cross_validate(
-    xs: &[SparseVec],
+pub fn cross_validate<X: Borrow<SparseVec>>(
+    xs: &[X],
     labels: &[usize],
     class_names: &[String],
     dim: usize,
@@ -66,7 +68,7 @@ pub fn cross_validate(
             if folds[i] == f {
                 test_idx.push(i);
             } else {
-                train_x.push(xs[i].clone());
+                train_x.push(xs[i].borrow());
                 train_y.push(labels[i]);
             }
         }
@@ -76,7 +78,7 @@ pub fn cross_validate(
         let model = MulticlassModel::train(&train_x, &train_y, class_names.to_vec(), dim, cfg);
         let mut fold_correct = 0usize;
         for &i in &test_idx {
-            let pred = model.predict_forced(&xs[i]);
+            let pred = model.predict_forced(xs[i].borrow());
             if pred == labels[i] {
                 fold_correct += 1;
             } else {

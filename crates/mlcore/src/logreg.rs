@@ -4,6 +4,28 @@
 //! gradient step followed by soft-thresholding, which drives most weights
 //! exactly to zero — the sparsity §4.2.2 leans on ("the predictions of SEO
 //! campaigns are derived from only a handful of HTML features").
+//!
+//! All one-vs-rest classes train in one fused kernel
+//! ([`MulticlassModel::train`]). It restricts the weights to the training
+//! **support** — the feature ids below `dim` that some training vector
+//! carries — and keeps them as a row-major `support × classes` matrix, so
+//! each epoch is one pass over the samples whose inner loops run over
+//! contiguous class rows. The result is bit-identical to training each
+//! class alone over the whole dictionary:
+//!
+//! * a weight outside the support gets a zero gradient in every epoch, and
+//!   with `lr > 0` and `lambda ≥ 0` the step and the soft threshold keep
+//!   `0.0` at `0.0`, so it ends exactly where the dense model starts it;
+//! * every class performs the same `f32` operations in the same order as a
+//!   lone binary trainer: logits accumulate entry by entry from the seed
+//!   `Iterator::sum` starts from (as [`SparseVec::dot`] does), gradients
+//!   accumulate sample by sample, and the local id map is monotone, so
+//!   entry order is preserved.
+//!
+//! The trained weights are scattered back into dense per-class
+//! [`BinaryLogReg`]s, which are what prediction reads.
+
+use std::borrow::Borrow;
 
 use crate::sparse::SparseVec;
 
@@ -34,6 +56,24 @@ impl Default for TrainConfig {
     }
 }
 
+impl TrainConfig {
+    /// Panics unless the support restriction is exact for these values: a
+    /// negative threshold `lr * lambda` would lift zero weights outside the
+    /// support, which the fused kernel never visits.
+    fn assert_valid(&self) {
+        assert!(
+            self.lr.is_finite() && self.lr > 0.0,
+            "TrainConfig.lr must be finite and > 0, got {}",
+            self.lr
+        );
+        assert!(
+            self.lambda.is_finite() && self.lambda >= 0.0,
+            "TrainConfig.lambda must be finite and >= 0, got {}",
+            self.lambda
+        );
+    }
+}
+
 fn sigmoid(z: f32) -> f32 {
     if z >= 0.0 {
         1.0 / (1.0 + (-z).exp())
@@ -53,43 +93,6 @@ pub struct BinaryLogReg {
 }
 
 impl BinaryLogReg {
-    /// Trains on `(x, y)` pairs with `y ∈ {0, 1}`, `dim` = dictionary size.
-    pub fn train(xs: &[SparseVec], ys: &[f32], dim: usize, cfg: &TrainConfig) -> Self {
-        assert_eq!(xs.len(), ys.len(), "features and labels must align");
-        let n = xs.len().max(1) as f32;
-        let mut w = vec![0.0f32; dim];
-        let mut b = 0.0f32;
-        let mut grad = vec![0.0f32; dim];
-        for _ in 0..cfg.epochs {
-            grad.iter_mut().for_each(|g| *g = 0.0);
-            let mut gb = 0.0f32;
-            for (x, &y) in xs.iter().zip(ys) {
-                let p = sigmoid(x.dot(&w) + b);
-                let err = p - y;
-                x.add_scaled_into(err, &mut grad);
-                gb += err;
-            }
-            let step = cfg.lr / n;
-            for (wi, gi) in w.iter_mut().zip(&grad) {
-                *wi -= step * gi;
-                // Proximal step: soft-threshold toward zero (L1).
-                let t = cfg.lr * cfg.lambda;
-                *wi = if *wi > t {
-                    *wi - t
-                } else if *wi < -t {
-                    *wi + t
-                } else {
-                    0.0
-                };
-            }
-            b -= step * gb;
-        }
-        BinaryLogReg {
-            weights: w,
-            bias: b,
-        }
-    }
-
     /// Probability that `x` is positive.
     pub fn prob(&self, x: &SparseVec) -> f32 {
         sigmoid(x.dot(&self.weights) + self.bias)
@@ -129,24 +132,109 @@ pub struct MulticlassModel {
 }
 
 impl MulticlassModel {
-    /// Trains one binary model per class. `labels[i]` is the class index
-    /// of sample `i`.
-    pub fn train(
-        xs: &[SparseVec],
+    /// Trains one binary model per class (one-vs-rest) in the fused
+    /// support-restricted kernel described in the module docs. `labels[i]`
+    /// is the class index of sample `i`; `dim` is the dictionary size, and
+    /// feature ids at or beyond it are ignored.
+    ///
+    /// Panics unless `cfg.lr` is finite and positive and `cfg.lambda` is
+    /// finite and non-negative, the range where the kernel is exact.
+    pub fn train<X: Borrow<SparseVec>>(
+        xs: &[X],
         labels: &[usize],
         class_names: Vec<String>,
         dim: usize,
         cfg: &TrainConfig,
     ) -> Self {
-        assert_eq!(xs.len(), labels.len());
-        let mut classes = Vec::with_capacity(class_names.len());
-        for c in 0..class_names.len() {
-            let ys: Vec<f32> = labels
-                .iter()
-                .map(|&l| if l == c { 1.0 } else { 0.0 })
-                .collect();
-            classes.push(BinaryLogReg::train(xs, &ys, dim, cfg));
+        assert_eq!(xs.len(), labels.len(), "features and labels must align");
+        cfg.assert_valid();
+        let k = class_names.len();
+
+        // The support: sorted, de-duplicated feature ids below `dim`.
+        let mut support: Vec<u32> = xs
+            .iter()
+            .flat_map(|x| x.borrow().entries().iter().map(|(i, _)| *i))
+            .filter(|i| (*i as usize) < dim)
+            .collect();
+        support.sort_unstable();
+        support.dedup();
+        // Each vector in local row ids; ids at or beyond `dim` are not in
+        // the support and drop out, as `SparseVec::dot` skips them.
+        let rows: Vec<Vec<(usize, f32)>> = xs
+            .iter()
+            .map(|x| {
+                x.borrow()
+                    .entries()
+                    .iter()
+                    .filter_map(|(i, v)| Some((support.binary_search(i).ok()?, *v)))
+                    .collect()
+            })
+            .collect();
+
+        let n = xs.len().max(1) as f32;
+        let step = cfg.lr / n;
+        let threshold = cfg.lr * cfg.lambda;
+        // The value `Iterator::sum` folds from, which `SparseVec::dot` uses.
+        let logit_seed: f32 = std::iter::empty::<f32>().sum();
+        let mut w = vec![0.0f32; support.len() * k];
+        let mut grad = vec![0.0f32; w.len()];
+        let mut bias = vec![0.0f32; k];
+        let mut grad_bias = vec![0.0f32; k];
+        // Per-sample logits, turned into errors in place.
+        let mut err = vec![0.0f32; k];
+        for _ in 0..cfg.epochs {
+            grad.fill(0.0);
+            grad_bias.fill(0.0);
+            for (row, &label) in rows.iter().zip(labels) {
+                err.fill(logit_seed);
+                for &(j, v) in row {
+                    for (z, wc) in err.iter_mut().zip(&w[j * k..][..k]) {
+                        *z += wc * v;
+                    }
+                }
+                for (c, (e, (b, gb))) in err
+                    .iter_mut()
+                    .zip(bias.iter().zip(&mut grad_bias))
+                    .enumerate()
+                {
+                    let y = if c == label { 1.0 } else { 0.0 };
+                    *e = sigmoid(*e + b) - y;
+                    *gb += *e;
+                }
+                for &(j, v) in row {
+                    for (g, e) in grad[j * k..][..k].iter_mut().zip(&err) {
+                        *g += e * v;
+                    }
+                }
+            }
+            for (wc, g) in w.iter_mut().zip(&grad) {
+                let stepped = *wc - step * g;
+                // Proximal step: soft-threshold toward zero (L1).
+                *wc = if stepped > threshold {
+                    stepped - threshold
+                } else if stepped < -threshold {
+                    stepped + threshold
+                } else {
+                    0.0
+                };
+            }
+            for (b, gb) in bias.iter_mut().zip(&grad_bias) {
+                *b -= step * gb;
+            }
         }
+
+        let classes = (0..k)
+            .map(|c| {
+                let mut weights = vec![0.0f32; dim];
+                for (row, &id) in w.chunks_exact(k).zip(&support) {
+                    weights[id as usize] = row[c];
+                }
+                BinaryLogReg {
+                    weights,
+                    bias: bias[c],
+                }
+            })
+            .collect();
         MulticlassModel {
             classes,
             class_names,
@@ -202,11 +290,24 @@ mod tests {
         (xs, ys, noise_dims as usize + classes)
     }
 
+    /// The one-vs-rest model of class `positive` among `classes`.
+    fn one_vs_rest(
+        xs: &[SparseVec],
+        ys: &[usize],
+        classes: usize,
+        positive: usize,
+        dim: usize,
+        cfg: &TrainConfig,
+    ) -> BinaryLogReg {
+        let names = (0..classes).map(|c| format!("C{c}")).collect();
+        MulticlassModel::train(xs, ys, names, dim, cfg).classes[positive].clone()
+    }
+
     #[test]
     fn binary_separates_toy_data() {
         let (xs, ys, dim) = toy(20, 2);
         let labels: Vec<f32> = ys.iter().map(|&y| y as f32).collect();
-        let m = BinaryLogReg::train(&xs, &labels, dim, &TrainConfig::default());
+        let m = one_vs_rest(&xs, &ys, 2, 1, dim, &TrainConfig::default());
         let correct = xs
             .iter()
             .zip(&labels)
@@ -222,7 +323,6 @@ mod tests {
     #[test]
     fn l1_produces_sparse_models() {
         let (xs, ys, dim) = toy(20, 2);
-        let labels: Vec<f32> = ys.iter().map(|&y| y as f32).collect();
         let dense_cfg = TrainConfig {
             lambda: 0.0,
             ..TrainConfig::default()
@@ -231,8 +331,8 @@ mod tests {
             lambda: 3e-3,
             ..TrainConfig::default()
         };
-        let dense = BinaryLogReg::train(&xs, &labels, dim, &dense_cfg);
-        let sparse = BinaryLogReg::train(&xs, &labels, dim, &sparse_cfg);
+        let dense = one_vs_rest(&xs, &ys, 2, 1, dim, &dense_cfg);
+        let sparse = one_vs_rest(&xs, &ys, 2, 1, dim, &sparse_cfg);
         assert!(
             sparse.nnz() < dense.nnz(),
             "{} !< {}",
@@ -245,8 +345,7 @@ mod tests {
     #[test]
     fn top_features_identify_the_indicator() {
         let (xs, ys, dim) = toy(25, 3);
-        let labels: Vec<f32> = ys.iter().map(|&y| if y == 1 { 1.0 } else { 0.0 }).collect();
-        let m = BinaryLogReg::train(&xs, &labels, dim, &TrainConfig::default());
+        let m = one_vs_rest(&xs, &ys, 3, 1, dim, &TrainConfig::default());
         let top = m.top_features(1);
         assert_eq!(
             top[0].0, 11,
@@ -279,5 +378,27 @@ mod tests {
         assert!(sigmoid(100.0) > 0.999);
         assert!(sigmoid(-100.0) < 0.001);
         assert!((sigmoid(0.0) - 0.5).abs() < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "TrainConfig.lambda")]
+    fn negative_lambda_is_rejected() {
+        let (xs, ys, dim) = toy(2, 2);
+        let cfg = TrainConfig {
+            lambda: -1e-4,
+            ..TrainConfig::default()
+        };
+        MulticlassModel::train(&xs, &ys, vec!["a".into(), "b".into()], dim, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "TrainConfig.lr")]
+    fn non_positive_lr_is_rejected() {
+        let (xs, ys, dim) = toy(2, 2);
+        let cfg = TrainConfig {
+            lr: 0.0,
+            ..TrainConfig::default()
+        };
+        MulticlassModel::train(&xs, &ys, vec!["a".into(), "b".into()], dim, &cfg);
     }
 }

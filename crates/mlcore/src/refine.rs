@@ -105,7 +105,7 @@ fn train_on(
     dim: usize,
     cfg: &TrainConfig,
 ) -> MulticlassModel {
-    let xs: Vec<SparseVec> = labeled.iter().map(|(i, _)| pool[*i].clone()).collect();
+    let xs: Vec<&SparseVec> = labeled.iter().map(|(i, _)| &pool[*i]).collect();
     let ys: Vec<usize> = labeled.iter().map(|(_, c)| *c).collect();
     MulticlassModel::train(&xs, &ys, class_names.to_vec(), dim, cfg)
 }
